@@ -28,6 +28,7 @@
 #include "support/sharded_map.hpp"
 #include "support/spinlock.hpp"
 #include "support/trace.hpp"
+#include "synth/benchmarks.hpp"
 #include "synth/generator.hpp"
 
 namespace {
@@ -379,6 +380,56 @@ void BM_QueryBatchDepends(benchmark::State& state) {
                           static_cast<std::int64_t>(queries.size()));
 }
 BENCHMARK(BM_QueryBatchDepends);
+
+// Per-step cost of budget-exhausting queries: fop at scale 2 (the Table-I
+// program whose exhausting tail dominates a batch-table1 pass), the first
+// kExhausting of its query variables that run out of the 100k budget the
+// Table-I batches use, answered by a cold non-sharing solver. Exhausting
+// queries re-evaluate ReachableNodes against warm memo tables between steps,
+// work the budget never charges, so steps/s here tracks that uncharged
+// overhead (DESIGN.md §6, heap-match cache) where the completing headline
+// batch cannot see it.
+void BM_BudgetExhausting(benchmark::State& state) {
+  constexpr std::uint64_t kBudget = 100'000;
+  constexpr std::size_t kExhausting = 8;
+  static const pag::Pag pag = [] {
+    auto lowered = frontend::lower(synth::build_benchmark("fop", 2.0));
+    return std::move(pag::collapse_assign_cycles(lowered.pag).pag);
+  }();
+  cfl::SolverOptions so;
+  so.budget = kBudget;
+  static const std::vector<pag::NodeId> queries = [&] {
+    cfl::ContextTable contexts;
+    cfl::Solver probe(pag, contexts, nullptr, so);
+    std::vector<pag::NodeId> out;
+    cfl::QueryResult qr;
+    for (const pag::NodeId q : workload_queries(pag)) {
+      probe.points_to(q, qr);
+      if (qr.status == cfl::QueryStatus::kOutOfBudget) out.push_back(q);
+      if (out.size() == kExhausting) break;
+    }
+    return out;
+  }();
+  if (queries.empty()) {
+    state.SkipWithError("no budget-exhausting query");
+    return;
+  }
+  std::uint64_t steps = 0;
+  cfl::QueryResult qr;
+  for (auto _ : state) {
+    // A fresh solver and context table per iteration keep every iteration
+    // the same cold work.
+    cfl::ContextTable contexts;
+    cfl::Solver solver(pag, contexts, nullptr, so);
+    for (const pag::NodeId q : queries) solver.points_to(q, qr);
+    steps += solver.counters().traversed_steps;
+  }
+  state.counters["steps_per_second"] =
+      benchmark::Counter(static_cast<double>(steps), benchmark::Counter::kIsRate);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(queries.size()));
+}
+BENCHMARK(BM_BudgetExhausting)->Unit(benchmark::kMillisecond);
 
 // ---- Instrumentation overhead (DESIGN.md §10) ----------------------------
 //

@@ -159,6 +159,40 @@ double prefilter_hit_rate(const support::QueryCounters& c) {
                            static_cast<double>(probes);
 }
 
+/// The verb of request i. Each two-node verb owns its own slot within its
+/// stride — taint the last (K-1), depends the middle (K/2), alias the first
+/// (0) — so equal or overlapping strides do not shadow one another. Where
+/// two slots still coincide, taint wins over depends and depends over alias,
+/// so a mixed scenario always carries flow traffic.
+constexpr service::Verb verb_for(std::uint64_t i, std::uint64_t alias_every,
+                                 std::uint64_t taint_every,
+                                 std::uint64_t depends_every) {
+  if (taint_every != 0 && i % taint_every == taint_every - 1)
+    return service::Verb::kTaint;
+  if (depends_every != 0 && i % depends_every == depends_every / 2)
+    return service::Verb::kDepends;
+  if (alias_every != 0 && i % alias_every == 0) return service::Verb::kAlias;
+  return service::Verb::kQuery;
+}
+
+/// Requests of `verb` among the first n under the given strides.
+constexpr std::uint64_t verb_count(service::Verb verb, std::uint64_t n,
+                                   std::uint64_t alias_every,
+                                   std::uint64_t taint_every,
+                                   std::uint64_t depends_every) {
+  std::uint64_t count = 0;
+  for (std::uint64_t i = 0; i < n; ++i)
+    if (verb_for(i, alias_every, taint_every, depends_every) == verb) ++count;
+  return count;
+}
+
+// The mixed-traffic arm (--taint-every 8 --depends-every 12, alias at its
+// default 8) sends 16 query, 3 alias, 3 taint and 2 depends per 24.
+static_assert(verb_count(service::Verb::kQuery, 24, 8, 8, 12) == 16);
+static_assert(verb_count(service::Verb::kAlias, 24, 8, 8, 12) == 3);
+static_assert(verb_count(service::Verb::kTaint, 24, 8, 8, 12) == 3);
+static_assert(verb_count(service::Verb::kDepends, 24, 8, 8, 12) == 2);
+
 /// The fixed request sequence both phases replay. Cycles over the workload's
 /// deduplicated query variables in a splitmix-shuffled order.
 std::vector<service::Request> build_requests(const bench::Workload& w,
@@ -176,28 +210,11 @@ std::vector<service::Request> build_requests(const bench::Workload& w,
   requests.reserve(cfg.requests);
   for (std::uint64_t i = 0; i < cfg.requests; ++i) {
     service::Request r;
-    const pag::NodeId a = vars[i % vars.size()];
-    // Two-node verbs interleave on their own strides; taint/depends take
-    // precedence over alias so a mixed scenario actually carries flow
-    // traffic (all roots are query variables, as the grammars require).
-    if (cfg.taint_every != 0 && i % cfg.taint_every == cfg.taint_every - 1) {
-      r.verb = service::Verb::kTaint;
-      r.a = a;
-      r.b = vars[(i + 1) % vars.size()];
-    } else if (cfg.depends_every != 0 &&
-               i % cfg.depends_every == cfg.depends_every / 2) {
-      r.verb = service::Verb::kDepends;
-      r.a = a;
-      r.b = vars[(i + 1) % vars.size()];
-    } else if (cfg.alias_every != 0 &&
-               i % cfg.alias_every == cfg.alias_every - 1) {
-      r.verb = service::Verb::kAlias;
-      r.a = a;
-      r.b = vars[(i + 1) % vars.size()];
-    } else {
-      r.verb = service::Verb::kQuery;
-      r.a = a;
-    }
+    // Two-node verbs pair with the next variable (all roots are query
+    // variables, as the flow grammars require).
+    r.verb = verb_for(i, cfg.alias_every, cfg.taint_every, cfg.depends_every);
+    r.a = vars[i % vars.size()];
+    if (r.verb != service::Verb::kQuery) r.b = vars[(i + 1) % vars.size()];
     requests.push_back(r);
   }
   return requests;

@@ -109,8 +109,40 @@ Solver::MemoEntry& Solver::memo_entry(support::FlatMap<std::uint32_t>& memo,
   if (!slot.inserted) return memo_slab_[slot.value];
   const auto [index, entry] = memo_slab_.acquire();
   entry->reset();  // recycled entries keep their buffers, not their contents
+  entry->index = index;
   slot.value = index;
   return *entry;
+}
+
+const std::vector<PtPair>& Solver::heap_hits(const MemoEntry& aliased,
+                                             std::uint32_t f, Direction dir) {
+  PARCFL_DCHECK(f < (1u << 31));
+  const std::uint64_t key = (static_cast<std::uint64_t>(aliased.index) << 32) |
+                            (static_cast<std::uint64_t>(f) << 1) |
+                            (dir == Direction::kForward ? 1u : 0u);
+  const auto slot = heap_hits_map_.try_emplace(key);
+  if (slot.inserted) {
+    const auto [index, fresh] = heap_hits_slab_.acquire();
+    fresh->scanned = 0;
+    fresh->hits.clear();
+    slot.value = index;
+  }
+  HeapHits& cached = heap_hits_slab_[slot.value];
+  // Memo sets are append-only within a query (demoted entries keep their
+  // items; the slab is rewound only in run_query), so scanning the new suffix
+  // extends the hit list exactly as a full rescan would have.
+  const std::vector<PtPair>& items = aliased.set.items;
+  const std::size_t end = items.size();
+  for (std::size_t i = cached.scanned; i < end; ++i) {
+    const PtPair v = items[i];
+    const std::span<const HalfEdge> edges =
+        dir == Direction::kBackward ? pag_.in_edges(v.node, EdgeKind::kStore)
+                                    : pag_.out_edges(v.node, EdgeKind::kLoad);
+    for (const HalfEdge e : edges)
+      if (e.aux == f) cached.hits.push_back(PtPair{e.other, v.ctx});
+  }
+  cached.scanned = static_cast<std::uint32_t>(end);
+  return cached.hits;
 }
 
 Solver::PendingJmp& Solver::pending_for(std::uint64_t jmp_key) {
@@ -140,6 +172,7 @@ Solver::MemoryStats Solver::memory_stats() const {
   MemoryStats m;
   m.table_rehashes = pts_memo_.rehash_count() + flows_memo_.rehash_count() +
                      generic_memo_.rehash_count() + pending_map_.rehash_count() +
+                     heap_hits_map_.rehash_count() +
                      consumed_jmp_keys_.rehash_count() +
                      witness_pred_.rehash_count() + witness_obj_.rehash_count();
   memo_slab_.for_each_constructed([&](const MemoEntry& e) {
@@ -148,6 +181,9 @@ Solver::MemoryStats Solver::memory_stats() const {
   });
   pending_slab_.for_each_constructed([&](const PendingJmp& p) {
     m.scratch_capacity_bytes += p.targets.capacity() * sizeof(JmpTarget);
+  });
+  heap_hits_slab_.for_each_constructed([&](const HeapHits& h) {
+    m.scratch_capacity_bytes += h.hits.capacity() * sizeof(PtPair);
   });
   for (const auto& frame : frames_) {
     m.table_rehashes += frame->visited.rehash_count() +
@@ -159,8 +195,11 @@ Solver::MemoryStats Solver::memory_stats() const {
         frame->rn_found.capacity() * sizeof(JmpTarget) +
         frame->rn_out.items.capacity() * sizeof(PtPair);
   }
-  m.slab_objects = memo_slab_.constructed() + pending_slab_.constructed();
-  m.slab_bytes = memo_slab_.arena_bytes() + pending_slab_.arena_bytes();
+  m.heap_hit_lists = heap_hits_slab_.constructed();
+  m.slab_objects = memo_slab_.constructed() + pending_slab_.constructed() +
+                   m.heap_hit_lists;
+  m.slab_bytes = memo_slab_.arena_bytes() + pending_slab_.arena_bytes() +
+                 heap_hits_slab_.arena_bytes();
   m.frame_count = frames_.size();
   m.scratch_capacity_bytes += sharing_stack_.capacity() * sizeof(SharingFrame);
   m.scratch_capacity_bytes +=
@@ -434,7 +473,8 @@ void Solver::reachable_nodes_backward(NodeId x, CtxId c, ResultSet& out) {
         // q.f = y whose base q aliases p. alias(p) is computed as
         // FlowsTo(o, c0) for each (o, c0) in PointsTo(p, c); instead of
         // scanning all stores on f per alias candidate, we look up the
-        // candidate's incoming store edges directly (same match set).
+        // candidate's incoming store edges directly (same match set), once
+        // per query and flows set (heap_hits).
         for (const HalfEdge ld : pag_.in_edges(x, EdgeKind::kLoad)) {
           const NodeId p = ld.other;
           const std::uint32_t f = ld.aux;
@@ -454,16 +494,12 @@ void Solver::reachable_nodes_backward(NodeId x, CtxId c, ResultSet& out) {
           const ResultSet& pts = compute_points_to(p, c);
           for (std::size_t i = 0; i < pts.items.size(); ++i) {
             const PtPair oc = pts.items[i];
-            const ResultSet& aliased = compute_flows_to(oc.node, oc.ctx);
-            for (std::size_t j = 0; j < aliased.items.size(); ++j) {
-              const PtPair qc = aliased.items[j];
-              for (const HalfEdge st : pag_.in_edges(qc.node, EdgeKind::kStore)) {
-                if (st.aux != f) continue;
-                const NodeId y = st.other;  // rhs of q.f = y
-                if (!dedup.insert(make_key(y, qc.ctx))) continue;
-                found.push_back(JmpTarget{
-                    y, qc.ctx, static_cast<std::uint32_t>(charged_ - s0)});
-              }
+            const MemoEntry& aliased = compute_flows_to(oc.node, oc.ctx);
+            // (y, ctx) for each store q.f = y with (q, ctx) in FlowsTo(o, c0).
+            for (const PtPair yc : heap_hits(aliased, f, Direction::kBackward)) {
+              if (!dedup.insert(make_key(yc.node, yc.ctx))) continue;
+              found.push_back(JmpTarget{
+                  yc.node, yc.ctx, static_cast<std::uint32_t>(charged_ - s0)});
             }
           }
         }
@@ -494,16 +530,12 @@ void Solver::reachable_nodes_forward(NodeId z, CtxId c, ResultSet& out) {
           const ResultSet& pts = compute_points_to(q, c);
           for (std::size_t i = 0; i < pts.items.size(); ++i) {
             const PtPair oc = pts.items[i];
-            const ResultSet& aliased = compute_flows_to(oc.node, oc.ctx);
-            for (std::size_t j = 0; j < aliased.items.size(); ++j) {
-              const PtPair pc = aliased.items[j];
-              for (const HalfEdge ld : pag_.out_edges(pc.node, EdgeKind::kLoad)) {
-                if (ld.aux != f) continue;
-                const NodeId x = ld.other;  // dst of x = p'.f
-                if (!dedup.insert(make_key(x, pc.ctx))) continue;
-                found.push_back(JmpTarget{
-                    x, pc.ctx, static_cast<std::uint32_t>(charged_ - s0)});
-              }
+            const MemoEntry& aliased = compute_flows_to(oc.node, oc.ctx);
+            // (x, ctx) for each load x = p'.f with (p', ctx) in FlowsTo(o, c0).
+            for (const PtPair xc : heap_hits(aliased, f, Direction::kForward)) {
+              if (!dedup.insert(make_key(xc.node, xc.ctx))) continue;
+              found.push_back(JmpTarget{
+                  xc.node, xc.ctx, static_cast<std::uint32_t>(charged_ - s0)});
             }
           }
         }
@@ -624,16 +656,16 @@ const Solver::ResultSet& Solver::compute_points_to(NodeId root, CtxId rc) {
   return entry.set;
 }
 
-const Solver::ResultSet& Solver::compute_flows_to(NodeId root, CtxId rc) {
+const Solver::MemoEntry& Solver::compute_flows_to(NodeId root, CtxId rc) {
   const Key key = make_key(root, rc);
   MemoEntry& entry = memo_entry(flows_memo_, key);
   if (entry.state == MemoEntry::State::kDone) {
     taint_flag_ = taint_flag_ || entry.tainted;
-    return entry.set;
+    return entry;
   }
   if (entry.state == MemoEntry::State::kInProgress) {
     taint_flag_ = true;
-    return entry.set;
+    return entry;
   }
 
   if (entry.state == MemoEntry::State::kFresh)
@@ -642,7 +674,7 @@ const Solver::ResultSet& Solver::compute_flows_to(NodeId root, CtxId rc) {
     record_request(key, Direction::kForward);
     entry.tainted = false;
     entry.state = MemoEntry::State::kDone;
-    return entry.set;
+    return entry;
   }
 
   entry.state = MemoEntry::State::kInProgress;
@@ -721,7 +753,7 @@ const Solver::ResultSet& Solver::compute_flows_to(NodeId root, CtxId rc) {
   entry.tainted = taint_flag_;
   entry.state = MemoEntry::State::kDone;
   taint_flag_ = outer_taint || entry.tainted;
-  return entry.set;
+  return entry;
 }
 
 const Solver::ResultSet& Solver::compute_generic(NodeId root, CtxId rc,
@@ -857,6 +889,8 @@ void Solver::run_query(NodeId root, CtxId rc, Direction dir, QueryResult& out) {
   flows_memo_.clear();
   generic_memo_.clear();
   memo_slab_.reset();
+  heap_hits_map_.clear();
+  heap_hits_slab_.reset();
   pending_map_.clear();
   pending_slab_.reset();
   consumed_jmp_keys_.clear();

@@ -315,10 +315,12 @@ class Solver {
   /// the steady-state query loop is allocation-free (tests/flat_map_test).
   struct MemoryStats {
     std::uint64_t table_rehashes = 0;   // flat table growth events
-    std::uint64_t slab_objects = 0;     // memo/pending entries ever built
+    std::uint64_t slab_objects = 0;     // memo/pending/heap-hit entries built
     std::uint64_t slab_bytes = 0;       // arena bytes behind the slabs
     std::uint64_t frame_count = 0;      // recursion scratch frames
     std::uint64_t scratch_capacity_bytes = 0;  // pooled vector capacities
+    std::uint64_t heap_hit_lists = 0;   // heap-match cache entries built (a
+                                        // share of slab_objects)
     bool operator==(const MemoryStats&) const = default;
   };
   MemoryStats memory_stats() const;
@@ -355,6 +357,7 @@ class Solver {
     enum class State : std::uint8_t { kFresh, kInProgress, kDone, kStale };
     State state = State::kFresh;
     bool tainted = false;  // consumed a partial (cycle) or tainted result
+    std::uint32_t index = 0;  // own memo_slab_ index (heap-match cache key)
     ResultSet set;
 
     void reset() {
@@ -385,9 +388,10 @@ class Solver {
   [[noreturn]] void out_of_budget(std::uint64_t bdg, bool early);
 
   /// Memoised PointsTo(x, c) / FlowsTo(o, c). The returned reference is
-  /// stable (node-based map) but its set may keep growing while iterated.
+  /// stable (slab-backed) but its set may keep growing while iterated.
+  /// FlowsTo hands back the whole entry: heap_hits keys on its slab index.
   const ResultSet& compute_points_to(pag::NodeId x, CtxId c);
-  const ResultSet& compute_flows_to(pag::NodeId o, CtxId c);
+  const MemoEntry& compute_flows_to(pag::NodeId o, CtxId c);
 
   /// Table-driven variant of the two loops above, active when grammar_ is
   /// set: one worklist walk carrying (node, ctx, grammar state), transitions
@@ -404,6 +408,15 @@ class Solver {
   void reachable_nodes_backward(pag::NodeId x, CtxId c, ResultSet& out);
   /// Forward (FlowsTo) mirror: stores out of z feed loads on aliased bases.
   void reachable_nodes_forward(pag::NodeId z, CtxId c, ResultSet& out);
+
+  /// The heap accesses on field f met by scanning the flows set `aliased` in
+  /// order: (y, ctx) for every store q.f = y on a member (q, ctx) when
+  /// backward, (x, ctx) for every load x = p.f on a member (p, ctx) when
+  /// forward. Memoised per query; only the suffix added since the last call
+  /// is scanned (DESIGN.md §6, heap-match cache). The reference is valid
+  /// until the next heap_hits call.
+  const std::vector<PtPair>& heap_hits(const MemoEntry& aliased,
+                                       std::uint32_t f, Direction dir);
 
   /// Shared shortcut-or-compute wrapper around both ReachableNodes bodies.
   /// `compute(found, dedup, s0)` fills `found` using `dedup` for
@@ -459,6 +472,16 @@ class Solver {
   support::FlatMap<std::uint32_t> generic_memo_;
   support::Slab<MemoEntry> memo_slab_;
   std::vector<SharingFrame> sharing_stack_;  // the S of Algorithm 2
+
+  /// Heap-match cache: (flows entry's slab index, field, direction) ->
+  /// heap_hits_slab_ index. Flows sets only grow within a query, so a hit
+  /// list plus the count of items already scanned stays exact.
+  struct HeapHits {
+    std::uint32_t scanned = 0;  // prefix of the flows set already scanned
+    std::vector<PtPair> hits;   // matches in scan order, duplicates kept
+  };
+  support::FlatMap<std::uint32_t> heap_hits_map_;
+  support::Slab<HeapHits> heap_hits_slab_;
 
   /// Tainted ReachableNodes results cannot be published when computed — a
   /// partial (cyclic) read may still grow. But once the query's fixpoint

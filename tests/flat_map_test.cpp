@@ -321,6 +321,9 @@ TEST(FlatTablesEndToEnd, RepeatedBatchesAreAllocationFree) {
   run_batch();
 
   const cfl::Solver::MemoryStats settled = solver.memory_stats();
+  // The heap-match cache is part of the fingerprint: the batch must exercise
+  // it for the checks below to cover it.
+  EXPECT_GT(settled.heap_hit_lists, 0u);
   for (int round = 0; round < 3; ++round) {
     run_batch();
     const cfl::Solver::MemoryStats now = solver.memory_stats();
@@ -332,6 +335,8 @@ TEST(FlatTablesEndToEnd, RepeatedBatchesAreAllocationFree) {
     EXPECT_EQ(now.frame_count, settled.frame_count);
     EXPECT_EQ(now.scratch_capacity_bytes, settled.scratch_capacity_bytes)
         << "round " << round << ": a pooled scratch vector reallocated";
+    EXPECT_EQ(now.heap_hit_lists, settled.heap_hit_lists)
+        << "round " << round << ": the heap-match cache built new entries";
     EXPECT_TRUE(now == settled);
   }
 }

@@ -222,9 +222,14 @@ TEST(Metrics, ScrapeWhileWritingIsSafeAndMonotone) {
   constexpr int kWriters = 4;
   constexpr std::uint64_t kPerThread = 5'000;
   std::atomic<bool> stop{false};
+  // Writers hold off until the scraper has finished one scrape, so at least
+  // one scrape exists whatever the scheduler does; the rest overlap writes.
+  std::atomic<bool> scraped_once{false};
   std::vector<std::thread> writers;
   for (int t = 0; t < kWriters; ++t)
     writers.emplace_back([&, t] {
+      while (!scraped_once.load(std::memory_order_acquire))
+        std::this_thread::yield();
       for (std::uint64_t i = 0; i < kPerThread; ++i) {
         reg.add(c);
         reg.max_gauge(g, static_cast<double>(t));
@@ -241,6 +246,7 @@ TEST(Metrics, ScrapeWhileWritingIsSafeAndMonotone) {
       last = now;
       EXPECT_FALSE(reg.render_prometheus().empty());
       ++scrapes;
+      scraped_once.store(true, std::memory_order_release);
     }
   });
 

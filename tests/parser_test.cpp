@@ -168,9 +168,14 @@ TEST(Parser, QueriesAreAppLocalsOnly) {
 }
 
 struct ErrorCase {
+  const char* name;  // stable test-name suffix
   const char* source;
   const char* expect;  // substring of the error message
 };
+
+// Without this gtest prints the case as raw pointer bytes, and CTest's test
+// discovery would bake those (address-randomised) bytes into the test names.
+void PrintTo(const ErrorCase& c, std::ostream* os) { *os << c.name; }
 
 class ParserErrorTest : public ::testing::TestWithParam<ErrorCase> {};
 
@@ -186,21 +191,33 @@ TEST_P(ParserErrorTest, ReportsUsefulErrors) {
 INSTANTIATE_TEST_SUITE_P(
     Cases, ParserErrorTest,
     ::testing::Values(
-        ErrorCase{"class T {} class T {}", "duplicate class"},
-        ErrorCase{"wibble", "expected 'class'"},
-        ErrorCase{"class T {} method app m() { x: U = new T; }", "unknown type"},
-        ErrorCase{"class T {} method app m() { x = y; }", "unknown variable"},
-        ErrorCase{"class T {} method app m() { x: T = call nope(); }",
+        ErrorCase{"duplicate_class", "class T {} class T {}",
+                  "duplicate class"},
+        ErrorCase{"missing_class_keyword", "wibble", "expected 'class'"},
+        ErrorCase{"unknown_type",
+                  "class T {} method app m() { x: U = new T; }",
+                  "unknown type"},
+        ErrorCase{"unknown_variable", "class T {} method app m() { x = y; }",
+                  "unknown variable"},
+        ErrorCase{"unknown_method",
+                  "class T {} method app m() { x: T = call nope(); }",
                   "unknown method"},
-        ErrorCase{"class T {} method app m(a: T) { y: T = call m(); }",
+        ErrorCase{"wrong_arity",
+                  "class T {} method app m(a: T) { y: T = call m(); }",
                   "wrong arity"},
-        ErrorCase{"class T {} method app m() { x: T = new T; x: T = new T; }",
+        ErrorCase{"redeclaration",
+                  "class T {} method app m() { x: T = new T; x: T = new T; }",
                   "redeclaration"},
-        ErrorCase{"class T { f: T; } method app m() { x: T = new T; y: T = x.g; }",
+        ErrorCase{"unknown_field",
+                  "class T { f: T; } method app m() { x: T = new T; y: T = x.g; }",
                   "unknown field"},
-        ErrorCase{"class A extends B {} class B extends A {}", "subtype cycle"},
-        ErrorCase{"class T {} method app m() { x: T @ }", "unexpected character"},
-        ErrorCase{"class T {} method app m() { x: T = new T", "expected ';'"}));
+        ErrorCase{"subtype_cycle", "class A extends B {} class B extends A {}",
+                  "subtype cycle"},
+        ErrorCase{"unexpected_character",
+                  "class T {} method app m() { x: T @ }",
+                  "unexpected character"},
+        ErrorCase{"missing_semicolon",
+                  "class T {} method app m() { x: T = new T", "expected ';'"}));
 
 }  // namespace
 }  // namespace parcfl::frontend
