@@ -15,8 +15,9 @@
 //
 // Results go to BENCH_service.json (same schema style as BENCH_micro.json:
 // a "context" object plus a "benchmarks" array) — throughput, latency
-// percentiles, per-phase traversed steps, and the cold-vs-warm jmp-hit
-// ratio that is the service's whole reason to exist.
+// percentiles, per-phase traversed steps and micro-batch counts (batches,
+// mean_batch_size; in-process only), and the cold-vs-warm jmp-hit ratio
+// that is the service's whole reason to exist.
 //
 //   parcfl_loadgen [--benchmark NAME] [--scale S] [--threads N]
 //                  [--clients N] [--requests N] [--rate QPS]
@@ -94,9 +95,11 @@ struct Config {
   std::uint64_t alias_every = 8;  // every K-th request is an alias query
   std::uint64_t taint_every = 0;    // every K-th request is a taint query (0 = off)
   std::uint64_t depends_every = 0;  // every K-th request is a depends query
-  std::uint32_t batch = 64;
-  long linger_us = 500;
-  std::uint32_t queue = 4096;
+  // Service knobs default to what the server ships.
+  std::uint32_t batch = service::ServiceOptions{}.max_batch;
+  long linger_us =
+      static_cast<long>(service::ServiceOptions{}.max_linger.count());
+  std::uint32_t queue = service::ServiceOptions{}.max_queue;
   std::string out = "BENCH_service.json";
   std::string scrape;       // empty = no metrics scrape
   std::string answers_out;  // empty = no answer dump (connect mode only)
@@ -135,7 +138,22 @@ struct PhaseResult {
   std::uint64_t shed = 0;
   std::uint64_t incomplete = 0;  // partial / early-terminated answers
   support::QueryCounters delta;  // engine work this phase (in-process only)
+  std::uint64_t batches = 0;     // micro-batches this phase (in-process only)
+  std::uint64_t batch_units = 0;  // query units across those batches
 };
+
+/// The service's cumulative micro-batch count and query units, so a phase
+/// can report its own share as the difference of two snapshots.
+struct BatchTotals {
+  std::uint64_t batches = 0;
+  std::uint64_t units = 0;
+};
+
+BatchTotals batch_totals(const service::QueryService& svc) {
+  const service::ServiceStats s = svc.stats();
+  return {s.batches, static_cast<std::uint64_t>(std::llround(
+                         s.mean_batch_size * static_cast<double>(s.batches)))};
+}
 
 double percentile(std::vector<double>& xs, double p) {
   if (xs.empty()) return 0.0;
@@ -305,14 +323,19 @@ void emit_phase(std::FILE* f, const char* name, const Config& cfg,
                  ", \"traversed_steps\": %llu, \"charged_steps\": %llu, "
                  "\"jmps_taken\": %llu, \"jmp_hit_ratio\": %.4f, "
                  "\"prefilter_hits\": %llu, \"prefilter_misses\": %llu, "
-                 "\"prefilter_hit_rate\": %.4f",
+                 "\"prefilter_hit_rate\": %.4f, \"batches\": %llu, "
+                 "\"mean_batch_size\": %.3f",
                  static_cast<unsigned long long>(p.delta.traversed_steps),
                  static_cast<unsigned long long>(p.delta.charged_steps),
                  static_cast<unsigned long long>(p.delta.jmps_taken),
                  hit_ratio(p.delta),
                  static_cast<unsigned long long>(p.delta.prefilter_hits),
                  static_cast<unsigned long long>(p.delta.prefilter_misses),
-                 prefilter_hit_rate(p.delta));
+                 prefilter_hit_rate(p.delta),
+                 static_cast<unsigned long long>(p.batches),
+                 p.batches == 0 ? 0.0
+                                : static_cast<double>(p.batch_units) /
+                                      static_cast<double>(p.batches));
   std::fprintf(f, "}");
 }
 
@@ -809,12 +832,19 @@ int main(int argc, char** argv) {
       incomplete = !shed && r.query_status != cfl::QueryStatus::kComplete;
     };
     auto before = svc.session().lifetime_totals();
+    const BatchTotals batches_before = batch_totals(svc);
     cold = run_phase(requests, cfg, issue);
     auto mid = svc.session().lifetime_totals();
+    const BatchTotals batches_mid = batch_totals(svc);
     warm = run_phase(requests, cfg, issue);
     auto after = svc.session().lifetime_totals();
+    const BatchTotals batches_after = batch_totals(svc);
     cold.delta = mid.since(before);
     warm.delta = after.since(mid);
+    cold.batches = batches_mid.batches - batches_before.batches;
+    cold.batch_units = batches_mid.units - batches_before.units;
+    warm.batches = batches_after.batches - batches_mid.batches;
+    warm.batch_units = batches_after.units - batches_mid.units;
 
     const auto stats = svc.stats();
     std::fprintf(stderr, "parcfl_loadgen: server stats %s\n",

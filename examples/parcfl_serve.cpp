@@ -12,7 +12,9 @@
 //                    `save FILE` requests snapshot back crash-safely
 //     --budget N     per-query step budget            (default 100000)
 //     --batch N      micro-batch size cap, query units (default 64)
-//     --linger-us N  micro-batch linger               (default 500)
+//     --linger-us N  wait up to N us for a batch to fill (default 0: a
+//                    batch takes what is queued and dispatches as soon
+//                    as the previous one is done)
 //     --queue N      admission queue depth, query units (default 4096)
 //     --slow-ms F    slow-query log threshold in ms   (default off)
 //     --trace N      solver trace level 0|1|2         (default 0); slow
@@ -81,6 +83,12 @@ int usage() {
                "                    [--spill-dir DIR] [--tenant-queue N]\n"
                "                    [--tenant-budget N]\n"
                "                    [--worker MAP --part K]\n");
+  const service::ServiceOptions defaults;
+  std::fprintf(stderr,
+               "defaults: --batch %u --linger-us %lld --queue %u\n",
+               defaults.max_batch,
+               static_cast<long long>(defaults.max_linger.count()),
+               defaults.max_queue);
   return 2;
 }
 

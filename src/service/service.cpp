@@ -417,24 +417,32 @@ void QueryService::collector_main() {
       cv_.wait(lock, [&] { return stop_ || !queue_.empty(); });
       if (queue_.empty()) return;  // stop_ && drained
 
-      // Micro-batch linger: from the first pending request, wait for the
-      // batch to fill — but never longer than max_linger past *its* arrival
-      // (late arrivals do not extend the window), and never past the
-      // earliest pending deadline: a request expiring mid-linger used to sit
-      // out the whole window only to be shed at dispatch; now the batch
-      // dispatches the moment the first deadline lands. A plain wait (no
+      // Work-conserving by default: with max_linger 0 the collector takes
+      // what is queued and dispatches at once, and whatever lands while that
+      // batch runs becomes the next one. An explicit max_linger waits, from
+      // the first pending request, for the batch to fill — but never longer
+      // than max_linger past *its* arrival (late arrivals do not extend the
+      // window), and never past the earliest pending deadline, so a request
+      // expiring mid-linger dispatches (to be shed) when its deadline lands
+      // rather than sitting out the whole window. A plain wait (no
       // predicate) per iteration so that a new arrival with a shorter
-      // deadline recomputes the window instead of sleeping through it.
+      // deadline recomputes the window instead of sleeping through it. Once
+      // the front's window has closed no deadline can shorten it, so the
+      // O(queue) deadline scan is skipped.
       for (;;) {
-        if (stop_ || queued_units_ >= options_.max_batch) break;
+        if (stop_ || options_.max_linger.count() <= 0 ||
+            queued_units_ >= options_.max_batch)
+          break;
+        const auto now = Clock::now();
         auto window_end = queue_.front().enqueued + options_.max_linger;
+        if (now >= window_end) break;
         for (const Pending& p : queue_) {
           if (p.request.deadline_ms == 0) continue;
           const auto deadline =
               p.enqueued + std::chrono::milliseconds(p.request.deadline_ms);
           window_end = std::min(window_end, deadline);
         }
-        if (Clock::now() >= window_end) break;
+        if (now >= window_end) break;
         cv_.wait_until(lock, window_end);
       }
 

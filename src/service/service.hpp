@@ -1,8 +1,9 @@
 #pragma once
 // QueryService — the demand-driven analysis server. Concurrent clients
 // submit() points-to/alias requests; a collector thread micro-batches them
-// (up to max_batch query units, waiting at most max_linger for the batch to
-// fill) and hands each batch to the warm Session, so a late arrival rides
+// (whatever is queued when it is free, up to max_batch query units; an
+// explicit max_linger also waits that long for the batch to fill) and hands
+// each batch to the warm Session, so a late arrival rides
 // the jmp shortcuts minted by the requests batched just before it — the
 // paper's §III-B data sharing, amortised across an unbounded query stream
 // instead of one batch run.
@@ -57,11 +58,15 @@ namespace parcfl::service {
 
 struct ServiceOptions {
   Session::Options session;
-  /// Micro-batcher: dispatch when the pending batch reaches `max_batch`
-  /// query units (an alias request counts two) or the oldest pending request
-  /// has lingered `max_linger` — whichever comes first.
+  /// Micro-batcher: a batch takes up to `max_batch` query units (an alias
+  /// request counts two) of what is queued. With `max_linger` 0 (the
+  /// default) it dispatches as soon as the collector is free, so requests
+  /// that land while a batch runs form the next one: batches grow with load,
+  /// never with idle time. A positive `max_linger` opts into waiting for
+  /// company: dispatch when the batch is full or the oldest pending request
+  /// has lingered that long, whichever comes first.
   std::uint32_t max_batch = 64;
-  std::chrono::microseconds max_linger{500};
+  std::chrono::microseconds max_linger{0};
   /// Admission: maximum queued query units before shed-on-overload.
   std::uint32_t max_queue = 4096;
   /// Slow-query log: a solver-side query (not counting queueing) at or above

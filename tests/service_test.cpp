@@ -5,15 +5,16 @@
 //  * Session — warm-state reuse (the ISSUE acceptance bar: a repeated batch
 //    traverses >= 2x fewer steps than the cold run), request-order routing
 //    through the DQ scheduler, per-item budgets;
-//  * QueryService — micro-batch coalescing, admission control (overload and
-//    deadline sheds), multi-client concurrency (the tsan target), save/load
-//    warm start;
+//  * QueryService — micro-batch coalescing, work-conserving default dispatch,
+//    admission control (overload and deadline sheds), multi-client
+//    concurrency (the tsan target), save/load warm start;
 //  * wire — serve_stream over string streams and a loopback TCP smoke test.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <future>
 #include <map>
@@ -21,6 +22,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "cfl/engine.hpp"
@@ -314,6 +316,43 @@ TEST(QueryService, FullBatchDispatchesBeforeLingerExpires) {
   for (auto& f : futures)  // would hang ~30s if the size trigger were broken
     EXPECT_EQ(f.get().status, Reply::Status::kOk);
   EXPECT_EQ(svc.stats().batches, 1u);
+}
+
+/// Median wall time of 100 sequential calls on a fresh service, and the
+/// number of micro-batches those calls ran as.
+std::pair<double, std::uint64_t> sequential_call_median_ms(
+    const Workload& w, const ServiceOptions& o) {
+  QueryService svc(w.pag, o);
+  std::vector<double> ms;
+  for (std::size_t i = 0; i < 100; ++i) {
+    const auto t0 = std::chrono::steady_clock::now();
+    EXPECT_EQ(svc.call(query_request(w.queries[i % w.queries.size()])).status,
+              Reply::Status::kOk);
+    ms.push_back(std::chrono::duration<double, std::milli>(
+                     std::chrono::steady_clock::now() - t0)
+                     .count());
+  }
+  std::nth_element(ms.begin(), ms.begin() + 50, ms.end());
+  return {ms[50], svc.stats().batches};
+}
+
+TEST(QueryService, DefaultDispatchesWithoutLingering) {
+  const auto w = container_workload();
+  // Default batcher knobs: a lone request is its own batch and dispatches
+  // as soon as it is queued.
+  const auto [median_ms, batches] =
+      sequential_call_median_ms(w, service_options(1));
+  EXPECT_EQ(batches, 100u);
+  EXPECT_LT(median_ms, 1.0);
+
+  // The same calls under an explicit 2ms linger each wait out the window,
+  // so the bound above tells the two policies apart.
+  ServiceOptions lingering = service_options(1);
+  lingering.max_linger = std::chrono::milliseconds(2);
+  const auto [lingering_median_ms, lingering_batches] =
+      sequential_call_median_ms(w, lingering);
+  EXPECT_EQ(lingering_batches, 100u);
+  EXPECT_GE(lingering_median_ms, 2.0);
 }
 
 TEST(QueryService, OverloadShedsInsteadOfQueueingUnboundedly) {
